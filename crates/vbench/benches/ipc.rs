@@ -29,6 +29,28 @@ fn bench_ipc_txn(c: &mut Criterion) {
     domain.shutdown();
 }
 
+fn bench_ipc_oversubscribed(c: &mut Criterion) {
+    // More runnable threads than the 2-core bench box has cores: four
+    // clients and one server. A sender that spins here takes a core from
+    // the thread that would answer it.
+    let domain = Domain::new();
+    let host = domain.add_host();
+    let server = domain.spawn(host, "echo", echo_server);
+    let clients: Vec<BenchClient> = (0..4)
+        .map(|_| {
+            BenchClient::spawn(&domain, host, move |ctx| {
+                ctx.send(server, Message::request(RequestCode::Echo), Bytes::new(), 0)
+                    .unwrap();
+            })
+        })
+        .collect();
+    c.bench_function("ipc_txn/oversubscribed_4_clients_32B", |b| {
+        b.iter_custom(|iters| BenchClient::time_concurrent(&clients, iters))
+    });
+    drop(clients);
+    domain.shutdown();
+}
+
 fn bench_ipc_payload(c: &mut Criterion) {
     let domain = Domain::new();
     let host = domain.add_host();
@@ -123,6 +145,7 @@ fn bench_group_send(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ipc_txn,
+    bench_ipc_oversubscribed,
     bench_ipc_payload,
     bench_move_to_64k,
     bench_group_send

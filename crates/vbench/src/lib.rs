@@ -52,4 +52,20 @@ impl BenchClient {
         self.run(iters);
         t0.elapsed()
     }
+
+    /// Times `iters` operations split evenly over `clients`, all running
+    /// at once: the wall time of the slowest, so per-iteration time is the
+    /// inverse of their aggregate throughput.
+    pub fn time_concurrent(clients: &[BenchClient], iters: u64) -> std::time::Duration {
+        let n = clients.len() as u64;
+        let t0 = std::time::Instant::now();
+        for (i, client) in (0u64..).zip(clients) {
+            let share = iters / n + u64::from(i < iters % n);
+            client.work_tx.send(share).expect("bench client alive");
+        }
+        for client in clients {
+            client.done_rx.recv().expect("bench client finished batch");
+        }
+        t0.elapsed()
+    }
 }

@@ -40,9 +40,12 @@ pub struct Reply {
 /// path.
 ///
 /// `Received` is a *linear* token: every transaction must end in exactly one
-/// [`Ipc::reply`] or [`Ipc::forward`]. Dropping it unreplied unblocks the
-/// sender with [`IpcError::ProcessDied`] — mirroring what the real kernel
-/// does when a receiver vanishes mid-transaction.
+/// [`Ipc::reply`] or [`Ipc::forward`]. It carries the right to answer the
+/// blocked sender; on the thread kernel the answer lands in the sender's
+/// one reusable reply slot. Dropping it unreplied unblocks the sender with
+/// [`IpcError::ProcessDied`] — mirroring what the real kernel does when a
+/// receiver vanishes mid-transaction. For a group send, the sender gets
+/// [`IpcError::NoReply`] once every member dropped its copy unreplied.
 pub struct Received {
     /// The blocked sender's pid.
     pub from: Pid,

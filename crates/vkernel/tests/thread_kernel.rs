@@ -431,3 +431,164 @@ fn emulated_mode_exposes_the_cost_model_to_servers() {
     let h2 = emulated.add_host();
     assert!(emulated.client(h2, |ctx| ctx.net().is_some()));
 }
+
+// Reply-slot hazards: each process has one reusable reply slot, so an
+// answer meant for an earlier transaction must never reach a later one.
+
+#[test]
+fn late_group_answers_never_reach_the_next_send() {
+    let domain = Domain::new();
+    let host = domain.add_host();
+    let group = domain.client(host, |ctx| ctx.create_group());
+    let (go_tx, go_rx) = crossbeam::channel::unbounded::<()>();
+    let (late_tx, late_rx) = crossbeam::channel::unbounded::<()>();
+    let (joined_tx, joined_rx) = crossbeam::channel::unbounded::<()>();
+    // tag 1 answers at once. Tags 2 and 3 hold the request until the
+    // client has its group answer; then 2 answers and 3 drops the request,
+    // which counts the group transaction's last holder out.
+    for tag in [1u16, 2, 3] {
+        let (go_rx, late_tx, joined_tx) = (go_rx.clone(), late_tx.clone(), joined_tx.clone());
+        domain.spawn(host, "member", move |ctx| {
+            ctx.join_group(group).unwrap();
+            joined_tx.send(()).unwrap();
+            while let Ok(rx) = ctx.receive() {
+                if tag > 1 {
+                    go_rx.recv().unwrap();
+                }
+                if tag == 3 {
+                    drop(rx);
+                } else {
+                    let mut m = Message::ok();
+                    m.set_word(5, tag);
+                    ctx.reply(rx, m, Bytes::new()).ok();
+                }
+                if tag > 1 {
+                    late_tx.send(()).unwrap();
+                }
+            }
+        });
+    }
+    // The echo answers only after both late members are done, so their
+    // stale answers land while the client is blocked on the echo.
+    let echo = domain.spawn(host, "echo", move |ctx| {
+        while let Ok(rx) = ctx.receive() {
+            late_rx.recv().unwrap();
+            late_rx.recv().unwrap();
+            let mut m = Message::ok();
+            m.set_word(5, 99);
+            ctx.reply(rx, m, Bytes::from_static(b"echo")).ok();
+        }
+    });
+    for _ in 0..3 {
+        joined_rx.recv().unwrap();
+    }
+    let (first, second) = domain.client(host, move |ctx| {
+        let first = ctx
+            .send_group(group, Message::request(RequestCode::Echo), Bytes::new())
+            .unwrap();
+        go_tx.send(()).unwrap();
+        go_tx.send(()).unwrap();
+        let second = ctx
+            .send(echo, Message::request(RequestCode::Echo), Bytes::new(), 16)
+            .unwrap();
+        (first.msg.word(5), second)
+    });
+    assert_eq!(first, 1);
+    assert_eq!(second.msg.word(5), 99);
+    assert_eq!(&second.data[..], b"echo");
+}
+
+#[test]
+fn forward_to_killed_process_unblocks_sender_with_process_died() {
+    let domain = Domain::new();
+    let host = domain.add_host();
+    let target = domain.spawn(host, "doomed", echo_server);
+    domain.kill(target);
+    let (fwd_tx, fwd_rx) = crossbeam::channel::bounded(1);
+    let front = domain.spawn(host, "front", move |ctx| {
+        while let Ok(rx) = ctx.receive() {
+            let msg = rx.msg;
+            let _ = fwd_tx.send(ctx.forward(rx, target, msg));
+        }
+    });
+    let err = domain
+        .client(host, move |ctx| {
+            ctx.send(front, Message::request(RequestCode::Echo), Bytes::new(), 0)
+        })
+        .unwrap_err();
+    assert_eq!(err, IpcError::ProcessDied);
+    assert_eq!(fwd_rx.recv().unwrap(), Err(IpcError::NoProcess));
+}
+
+#[test]
+fn slow_server_is_answered_after_the_sender_parks() {
+    use std::time::{Duration, Instant};
+    let domain = Domain::new();
+    let host = domain.add_host();
+    let fast = domain.spawn(host, "echo", echo_server);
+    let slow = domain.spawn(host, "slow", |ctx| {
+        while let Ok(rx) = ctx.receive() {
+            std::thread::sleep(Duration::from_millis(5));
+            let msg = rx.msg;
+            ctx.reply(rx, msg, Bytes::from_static(b"late")).ok();
+        }
+    });
+    domain.client(host, move |ctx| {
+        for round in 0..4u32 {
+            // Fast answers first, so the sender is spinning again when
+            // the slow one outlasts the spin and it has to park.
+            for _ in 0..32 {
+                ctx.send(fast, Message::request(RequestCode::Echo), Bytes::new(), 0)
+                    .unwrap();
+            }
+            let mut m = Message::request(RequestCode::Echo);
+            m.set_word32(5, round);
+            let t0 = Instant::now();
+            let r = ctx.send(slow, m, Bytes::new(), 16).unwrap();
+            assert!(t0.elapsed() >= Duration::from_millis(5));
+            assert_eq!(r.msg.word32(5), round);
+            assert_eq!(&r.data[..], b"late");
+        }
+    });
+}
+
+#[test]
+fn oversubscribed_clients_each_get_their_own_replies() {
+    const CLIENTS: u32 = 8;
+    const TXNS: u32 = 2000;
+    let domain = Domain::new();
+    let host = domain.add_host();
+    let echoes = [
+        domain.spawn(host, "echo", echo_server),
+        domain.spawn(host, "echo", echo_server),
+    ];
+    let front = domain.spawn(host, "front", move |ctx| {
+        while let Ok(rx) = ctx.receive() {
+            let msg = rx.msg;
+            ctx.forward(rx, echoes[0], msg).ok();
+        }
+    });
+    let targets = [echoes[0], echoes[1], front];
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let d = domain.clone();
+            std::thread::spawn(move || {
+                d.client(host, move |ctx| {
+                    for i in 0..TXNS {
+                        let id = (c << 16) | i;
+                        let mut m = Message::request(RequestCode::Echo);
+                        m.set_word32(5, id);
+                        let payload = Bytes::from(id.to_le_bytes().to_vec());
+                        let to = targets[(i % 3) as usize];
+                        let r = ctx.send(to, m, payload, 4).unwrap();
+                        assert_eq!(r.msg.word32(5), id);
+                        assert_eq!(&r.data[..], &id.to_le_bytes());
+                    }
+                    TXNS
+                })
+            })
+        })
+        .collect();
+    let done: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    assert_eq!(done, CLIENTS * TXNS);
+}

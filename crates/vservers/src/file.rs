@@ -459,10 +459,12 @@ enum InstState {
 /// (open, query, modify, remove, rename, create, add/delete context name
 /// for cross-server links), the I/O protocol on instances, context
 /// directories, and the inverse mapping operations.
-pub fn file_server(ctx: &dyn Ipc, config: FileServerConfig) {
+pub fn file_server(ctx: &dyn Ipc, mut config: FileServerConfig) {
     let mut fs = Fs::new();
-    for (path, data) in &config.preload {
-        fs.preload_file(path, data.clone());
+    // Moved, not cloned: `config` lives as long as the server, so a clone
+    // would hold every preloaded file twice.
+    for (path, data) in std::mem::take(&mut config.preload) {
+        fs.preload_file(&path, data);
     }
     if let Some(home) = &config.home {
         let dir = fs.mkdir_path(home);

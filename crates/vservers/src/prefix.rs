@@ -118,8 +118,20 @@ struct SyncCounters {
 /// The advisory entry-count message word for sync payloads: saturates at
 /// `u16::MAX` instead of silently truncating tables past 65 535 entries —
 /// the 32-bit count inside the payload is authoritative.
-fn count_word(n: usize) -> u16 {
-    u16::try_from(n).unwrap_or(u16::MAX)
+fn count_word(n: impl TryInto<u16>) -> u16 {
+    n.try_into().unwrap_or(u16::MAX)
+}
+
+/// The reply to a `SyncPull` or `SyncGossip` round that applied `out`:
+/// saturated counts, the table's epoch and whether gossip supplied it.
+fn sync_reply(out: &ApplyOutcome, epoch: u64, via_gossip: bool) -> Message {
+    let mut m = Message::ok();
+    m.set_word(fields::W_SYNC_ADOPTED, count_word(out.adopted))
+        .set_word(fields::W_SYNC_DROPPED, count_word(out.dropped_live))
+        .set_word(fields::W_SYNC_PROMOTED, count_word(out.promoted))
+        .set_word32(fields::W_SYNC_EPOCH_LO, epoch as u32)
+        .set_word(fields::W_SYNC_GOSSIP, u16::from(via_gossip));
+    m
 }
 
 /// Degraded-mode resolution settings for a [`prefix_server`].
@@ -436,12 +448,7 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
                 }
                 match applied {
                     Some(out) => {
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_SYNC_ADOPTED, out.adopted as u16)
-                            .set_word(fields::W_SYNC_DROPPED, out.dropped_live as u16)
-                            .set_word(fields::W_SYNC_PROMOTED, out.promoted as u16)
-                            .set_word32(fields::W_SYNC_EPOCH_LO, sharded.table().max_epoch() as u32)
-                            .set_word(fields::W_SYNC_GOSSIP, u16::from(via_gossip));
+                        let m = sync_reply(&out, sharded.table().max_epoch(), via_gossip);
                         reply_data(ctx, rx, m, Vec::new());
                     }
                     // Nothing was applied: the round is atomic, the peer
@@ -475,12 +482,7 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
                 };
                 match out {
                     Some(out) => {
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_SYNC_ADOPTED, out.adopted as u16)
-                            .set_word(fields::W_SYNC_DROPPED, out.dropped_live as u16)
-                            .set_word(fields::W_SYNC_PROMOTED, out.promoted as u16)
-                            .set_word32(fields::W_SYNC_EPOCH_LO, sharded.table().max_epoch() as u32)
-                            .set_word(fields::W_SYNC_GOSSIP, 1);
+                        let m = sync_reply(&out, sharded.table().max_epoch(), true);
                         reply_data(ctx, rx, m, Vec::new());
                     }
                     // Transient: no peer answered this round's probe.
@@ -1070,5 +1072,29 @@ fn handle_own_context(
             reply_descriptor(ctx, rx, &d);
         }
         _ => reply_code(ctx, rx, ReplyCode::UnknownRequest),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sync_reply_saturates_counts_and_keeps_epoch_and_gossip_words() {
+        let out = ApplyOutcome {
+            adopted: 1_000_000,
+            dropped_live: u32::from(u16::MAX) + 1,
+            promoted: 7,
+        };
+        let epoch = 0x1_2345_6789;
+        let m = sync_reply(&out, epoch, true);
+        assert_eq!(m.word(fields::W_SYNC_ADOPTED), 0xFFFF);
+        assert_eq!(m.word(fields::W_SYNC_DROPPED), 0xFFFF);
+        assert_eq!(m.word(fields::W_SYNC_PROMOTED), 7);
+        assert_eq!(m.word32(fields::W_SYNC_EPOCH_LO), 0x2345_6789);
+        assert_eq!(m.word(fields::W_SYNC_GOSSIP), 1);
+        let m = sync_reply(&out, epoch, false);
+        assert_eq!(m.word(fields::W_SYNC_GOSSIP), 0);
+        assert_eq!(m.reply_code(), ReplyCode::Ok);
     }
 }

@@ -42,4 +42,16 @@ VSIM_FAULT_SEED=271828 cargo test -q -p vsim --test merkle_plane
 echo "==> anti-entropy proptests (pinned regression seeds + novel cases)"
 cargo test -q -p vservers --test anti_entropy_props
 
+# perfbench/ is a workspace of its own, so nothing above compiles it. Build
+# it against this tree and run its self-test: every answer checked against
+# ground truth, and traced and untraced runs folding to the same checksum.
+echo "==> perfbench self-test (open_read, seed 1, 2 s, traced)"
+bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload open_read --seed 1 --seconds 2 --trace 1)"
+if ! tail -n 1 <<<"$bench_out" | grep -q '"correct": true'; then
+    echo "$bench_out"
+    echo "perfbench self-test did not report \"correct\": true" >&2
+    exit 1
+fi
+
 echo "==> all checks passed"
